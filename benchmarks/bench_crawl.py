@@ -8,17 +8,31 @@ engine (``FLATIndex.range_query``).  Both crawls must read the same
 pages and return the same elements; the batched engine wins on CPU by
 decoding each metadata leaf once per query instead of once per record.
 
+``--codec`` serves both crawls from pages held under a physical page
+codec (default ``raw``).  Under any other codec the batched crawl also
+runs on the ``raw`` pages of the same index, in the same invocation:
+answers, page reads and decode counts must be identical across the two
+codecs, and the report records both cold q/s and their CPU-time ratio.
+
 Run ``python benchmarks/bench_crawl.py`` to print a summary and emit
 ``BENCH_crawl.json`` (the perf-trajectory artifact tracked across PRs).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from bench_common import describe_workload, finish, workload_parser
 from repro.core import FLATIndex
 from repro.data.microcircuit import build_microcircuit
 from repro.query import BenchmarkSpec, CallableEngine, SCALED_SN_FRACTION, run_queries
-from repro.storage import DECODE_ELEMENT, DECODE_METADATA, PageStore
+from repro.storage import (
+    DECODE_ELEMENT,
+    DECODE_METADATA,
+    MemoryPageBackend,
+    PageStore,
+    available_codecs,
+)
 
 #: Default workload: one dense microcircuit step in the SMALL_CONFIG
 #: volume (Fig. 13's benchmark at reproduction scale), enough queries
@@ -40,23 +54,59 @@ def _run_stats(run) -> dict:
     }
 
 
+def _recoded(flat, codec: str):
+    """*flat* served from an in-RAM copy of its pages held under *codec*."""
+    backend = MemoryPageBackend(codec=codec)
+    for page_id in range(len(flat.store)):
+        backend.append(
+            flat.store.read_silent(page_id), flat.store.category(page_id)
+        )
+    store = PageStore(backend=backend)
+    return flat.with_store(store), store
+
+
+def _codec_comparison(codec, raw, coded, same_answers) -> tuple:
+    """Report section + checks: the batched crawl on raw vs *codec* pages."""
+    raw_stats, coded_stats = _run_stats(raw), _run_stats(coded)
+    section = {
+        "raw": raw_stats,
+        codec: coded_stats,
+        "raw_qps": raw.query_count / max(raw.cpu_seconds, 1e-12),
+        f"{codec}_qps": coded.query_count / max(coded.cpu_seconds, 1e-12),
+        "cpu_ratio": coded.cpu_seconds / max(raw.cpu_seconds, 1e-12),
+    }
+    checks = {
+        "codec_identical_results": same_answers,
+        "codec_identical_page_reads": raw.reads_by_category
+        == coded.reads_by_category,
+        "codec_identical_decodes": all(
+            raw_stats[key] == coded_stats[key]
+            for key in ("metadata_decodes", "element_decodes", "decode_hits")
+        ),
+    }
+    return section, checks
+
+
 def run_crawl_bench(
     n_elements: int = N_ELEMENTS,
     volume_side: float = VOLUME_SIDE,
     query_count: int = QUERY_COUNT,
     seed: int = SEED,
+    codec: str = "raw",
 ) -> dict:
     """Run both crawls on the same index + queries; return the comparison."""
     circuit = build_microcircuit(n_elements, side=volume_side, seed=seed)
-    store = PageStore()
-    flat = FLATIndex.build(store, circuit.mbrs(), space_mbr=circuit.space_mbr)
+    raw_store = PageStore()
+    flat = FLATIndex.build(raw_store, circuit.mbrs(), space_mbr=circuit.space_mbr)
     spec = BenchmarkSpec("SN", SCALED_SN_FRACTION, query_count)
     queries = spec.queries(circuit.space_mbr, seed=seed + 202)
+    index, store = (flat, raw_store) if codec == "raw" else _recoded(flat, codec)
 
     scalar = run_queries(
-        CallableEngine(flat.range_query_scalar, flat), store, queries, "flat-scalar"
+        CallableEngine(index.range_query_scalar, index), store, queries,
+        "flat-scalar",
     )
-    batched = run_queries(flat, store, queries, "flat-batched")
+    batched = run_queries(index, store, queries, "flat-batched")
 
     scalar_stats = _run_stats(scalar)
     batched_stats = _run_stats(batched)
@@ -66,7 +116,7 @@ def run_crawl_bench(
     cpu_speedup = scalar_stats["cpu_seconds"] / max(
         batched_stats["cpu_seconds"], 1e-12
     )
-    return {
+    report = {
         "benchmark": "crawl-engine",
         "workload": {
             "figure": "fig13",
@@ -76,6 +126,7 @@ def run_crawl_bench(
             "volume_fraction": SCALED_SN_FRACTION,
             "query_count": query_count,
             "seed": seed,
+            "codec": codec,
         },
         "scalar": scalar_stats,
         "batched": batched_stats,
@@ -89,6 +140,16 @@ def run_crawl_bench(
             "metadata_decode_reduction_at_least_3x": reduction >= 3.0,
         },
     }
+    if codec != "raw":
+        raw = run_queries(flat, raw_store, queries, "flat-batched-raw")
+        same_answers = all(
+            np.array_equal(flat.range_query(query), index.range_query(query))
+            for query in queries
+        )
+        section, checks = _codec_comparison(codec, raw, batched, same_answers)
+        report["codec_comparison"] = section
+        report["checks"].update(checks)
+    return report
 
 
 def main(argv=None) -> int:
@@ -100,8 +161,14 @@ def main(argv=None) -> int:
         seed=SEED,
         out="BENCH_crawl.json",
     )
+    parser.add_argument(
+        "--codec", choices=available_codecs(), default="raw",
+        help="physical page codec both crawls are served from",
+    )
     args = parser.parse_args(argv)
-    report = run_crawl_bench(args.elements, args.side, args.queries, args.seed)
+    report = run_crawl_bench(
+        args.elements, args.side, args.queries, args.seed, args.codec
+    )
 
     scalar, batched = report["scalar"], report["batched"]
     print(describe_workload(report))
@@ -111,6 +178,11 @@ def main(argv=None) -> int:
     print(f"cpu seconds: scalar={scalar['cpu_seconds']:.3f} "
           f"batched={batched['cpu_seconds']:.3f} "
           f"({report['cpu_speedup']:.2f}x speedup)")
+    comparison = report.get("codec_comparison")
+    if comparison is not None:
+        print(f"batched cold q/s: raw={comparison['raw_qps']:.1f} "
+              f"{args.codec}={comparison[f'{args.codec}_qps']:.1f} "
+              f"({args.codec}/raw cpu time {comparison['cpu_ratio']:.2f}x)")
     return finish(report, args.out)
 
 

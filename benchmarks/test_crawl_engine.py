@@ -21,3 +21,14 @@ def test_crawl_bench_checks_and_artifact(tmp_path):
     artifact = tmp_path / "BENCH_crawl.json"
     artifact.write_text(json.dumps(report, indent=2))
     assert json.loads(artifact.read_text())["benchmark"] == "crawl-engine"
+
+
+def test_crawl_bench_codec_comparison():
+    report = run_crawl_bench(n_elements=4_000, query_count=10, codec="delta64")
+    assert report["workload"]["codec"] == "delta64"
+    assert all(report["checks"].values()), report["checks"]
+    comparison = report["codec_comparison"]
+    assert comparison["raw"]["total_page_reads"] == (
+        comparison["delta64"]["total_page_reads"]
+    )
+    assert comparison["cpu_ratio"] > 0

@@ -53,9 +53,9 @@ from repro.storage.constants import (
     PAGE_HEADER_BYTES,
     PAGE_SIZE,
 )
+from repro.storage.decoded_cache import DECODE_ELEMENT
 from repro.storage.pagestore import PageStore, PageStoreError
 from repro.storage.serial import (
-    decode_element_page,
     encode_element_page,
     encode_metadata_page,
     metadata_record_bytes,
@@ -672,7 +672,7 @@ class FLATIndex:
 
     def _page_elements(self, page_id: int) -> np.ndarray:
         """Current element MBRs of an object page (maintenance read)."""
-        return decode_element_page(self.store.read_silent(page_id))
+        return self.store.decode_silent(DECODE_ELEMENT, page_id)
 
     def _live_records(self) -> np.ndarray:
         return np.flatnonzero(self._mut.live)

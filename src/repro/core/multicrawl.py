@@ -37,14 +37,14 @@ import numpy as np
 from repro.core.flat_index import CrawlStats
 from repro.geometry.intersect import boxes_intersect_box
 from repro.storage.decoded_cache import DECODE_ELEMENT, DECODE_METADATA
-from repro.storage.serial import decode_element_page, decode_metadata_page
+from repro.storage.serial import MetadataLeaf, csr_gather
 from repro.storage.stats import ALL_CATEGORIES
 
 
 class _ColdIO:
     """Crawl-phase I/O with per-(query, page) charging.
 
-    Physical reads go through ``read_silent`` and a group-local decoded
+    Physical reads go through ``decode_silent`` and a group-local decoded
     dictionary; charges accumulate in a ``(pages, queries)`` boolean
     matrix.  ``finalize`` bulk-records every charge the seed phase did
     not already pay, per page category, in deterministic
@@ -56,8 +56,7 @@ class _ColdIO:
         page_count = len(store)
         self._charged = np.zeros((page_count, query_count), dtype=bool)
         self._seeded = np.zeros((page_count, query_count), dtype=bool)
-        self._decoded_meta: dict = {}
-        self._decoded_elem: dict = {}
+        self._decoded: dict = {}
         codes = np.empty(page_count, dtype=np.int8)
         lookup = {name: code for code, name in enumerate(ALL_CATEGORIES)}
         for page_id, category in enumerate(store.backend.iter_categories()):
@@ -79,21 +78,20 @@ class _ColdIO:
         """Mark ``(page, query)`` touches; duplicates collapse for free."""
         self._charged[page_ids, query_ids] = True
 
-    def read_metadata(self, page_id: int) -> list:
-        records = self._decoded_meta.get(page_id)
-        if records is None:
-            records = decode_metadata_page(self.store.read_silent(page_id))
-            self._decoded_meta[page_id] = records
-            self.store.stats.record_decode(DECODE_METADATA, hit=False)
-        return records
+    def read_metadata(self, page_id: int) -> MetadataLeaf:
+        return self._decode(DECODE_METADATA, page_id)
 
     def read_elements(self, page_id: int) -> np.ndarray:
-        elements = self._decoded_elem.get(page_id)
-        if elements is None:
-            elements = decode_element_page(self.store.read_silent(page_id))
-            self._decoded_elem[page_id] = elements
-            self.store.stats.record_decode(DECODE_ELEMENT, hit=False)
-        return elements
+        return self._decode(DECODE_ELEMENT, page_id)
+
+    def _decode(self, kind: str, page_id: int):
+        key = (kind, page_id)
+        decoded = self._decoded.get(key)
+        if decoded is None:
+            decoded = self.store.decode_silent(kind, page_id)
+            self._decoded[key] = decoded
+            self.store.stats.record_decode(kind, hit=False)
+        return decoded
 
     def finalize(self) -> None:
         """Charge every crawl-phase ``(query, page)`` read into the stats."""
@@ -127,7 +125,7 @@ class _WarmIO:
     def charge(self, page_ids, query_ids) -> None:
         pass
 
-    def read_metadata(self, page_id: int) -> list:
+    def read_metadata(self, page_id: int) -> MetadataLeaf:
         return self.store.read_metadata(page_id)
 
     def read_elements(self, page_id: int) -> np.ndarray:
@@ -177,29 +175,39 @@ def crawl_multi(flat, queries: np.ndarray, cold: bool = True) -> list:
             stats.seeded = True
 
     # -- group-level record directory, filled leaf by leaf ---------------
+    # Columns are scattered by record id; neighbor lists are appended
+    # to one growing buffer and addressed CSR-style (start, count).
     record_leaf = seed.record_page
     loaded = np.zeros(record_count, dtype=bool)
     page_mbrs = np.empty((record_count, 6), dtype=np.float64)
     partition_mbrs = np.empty((record_count, 6), dtype=np.float64)
     object_pages = np.empty(record_count, dtype=np.int64)
-    neighbor_arrays: list = [None] * record_count
+    neighbor_starts = np.zeros(record_count, dtype=np.int64)
     neighbor_counts = np.zeros(record_count, dtype=np.int64)
+    neighbors = np.empty(1024, dtype=np.int64)
+    neighbors_used = 0
 
     def load_records(rids: np.ndarray) -> None:
+        nonlocal neighbors, neighbors_used
         missing = rids[~loaded[rids]]
         if not missing.size:
             return
-        for leaf in np.unique(record_leaf[missing]):
-            slot_ids = seed.leaf_record_ids[int(leaf)]
-            for slot, raw in enumerate(io.read_metadata(int(leaf))):
-                rid = int(slot_ids[slot])
-                page_mbr, partition_mbr, object_page_id, nbrs = raw
-                page_mbrs[rid] = page_mbr
-                partition_mbrs[rid] = partition_mbr
-                object_pages[rid] = object_page_id
-                nbr_array = np.asarray(nbrs, dtype=np.int64)
-                neighbor_arrays[rid] = nbr_array
-                neighbor_counts[rid] = len(nbr_array)
+        for leaf_id in np.unique(record_leaf[missing]).tolist():
+            leaf = io.read_metadata(leaf_id)
+            slot_ids = seed.leaf_record_ids[leaf_id]
+            page_mbrs[slot_ids] = leaf.page_mbrs
+            partition_mbrs[slot_ids] = leaf.partition_mbrs
+            object_pages[slot_ids] = leaf.object_page_ids
+            end = neighbors_used + len(leaf.neighbor_ids)
+            if end > len(neighbors):
+                grown = np.empty(max(end, 2 * len(neighbors)), dtype=np.int64)
+                grown[:neighbors_used] = neighbors[:neighbors_used]
+                neighbors = grown
+            neighbors[neighbors_used:end] = leaf.neighbor_ids
+            offsets = leaf.neighbor_offsets
+            neighbor_starts[slot_ids] = neighbors_used + offsets[:-1]
+            neighbor_counts[slot_ids] = offsets[1:] - offsets[:-1]
+            neighbors_used = end
             loaded[slot_ids] = True
 
     # -- joint BFS over (record, query) pairs -----------------------------
@@ -244,26 +252,14 @@ def crawl_multi(flat, queries: np.ndarray, cold: bool = True) -> list:
         if not partition_hits.any():
             break
         expand_rids = rids[partition_hits]
-        expand_qids = qids[partition_hits]
-        unique_rids, inverse = np.unique(expand_rids, return_inverse=True)
-        counts = neighbor_counts[unique_rids]
-        if not counts.sum():
-            break
-        flat_neighbors = np.concatenate(
-            [neighbor_arrays[int(rid)] for rid in unique_rids]
+        # Each expanding pair gathers its record's full neighbor row.
+        pair_counts = neighbor_counts[expand_rids]
+        _offsets, next_rids = csr_gather(
+            neighbor_starts[expand_rids], pair_counts, neighbors
         )
-        offsets = np.zeros(len(unique_rids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        # Vectorized CSR gather per pair (cf. RecordBatch.neighbors_of):
-        # each pair expands its record's full neighbor row.
-        pair_counts = counts[inverse]
-        total = int(pair_counts.sum())
-        if not total:
+        if not next_rids.size:
             break
-        pair_ends = np.cumsum(pair_counts)
-        shift = np.repeat(offsets[inverse] - (pair_ends - pair_counts), pair_counts)
-        next_rids = flat_neighbors[np.arange(total, dtype=np.int64) + shift]
-        next_qids = np.repeat(expand_qids, pair_counts)
+        next_qids = np.repeat(qids[partition_hits], pair_counts)
         keys = np.unique(next_rids * query_count + next_qids)
         fresh = ~visited[keys]
         keys = keys[fresh]

@@ -10,6 +10,15 @@ Two roles (Sec. V-B.1/V-B.2):
   (usually buffered) metadata-page read.  Records are grouped onto
   leaves by STR tiling of their page MBRs, so each leaf covers a compact
   region and a crawl touches few distinct metadata pages.
+
+Both roles read leaves in one form: the columnar
+:class:`~repro.storage.serial.MetadataLeaf` the store's decoded-page
+cache serves, decoded by the codec straight from the stored blob.  The
+seed descent tests a whole leaf's page MBRs in one vectorized call, and
+:meth:`SeedIndex.fetch_records_batch` is a row gather over the
+concatenated leaves of a frontier.  Per-record
+:class:`~repro.core.metadata.MetadataRecord` objects exist only for the
+seed result and the scalar reference accessor :meth:`SeedIndex.fetch_record`.
 """
 
 from __future__ import annotations
@@ -20,9 +29,10 @@ import numpy as np
 
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_union_many
+from repro.storage.decoded_cache import DECODE_METADATA
 from repro.storage.pagestore import PageStore
 from repro.storage.serial import (
-    decode_metadata_page,
+    MetadataLeaf,
     decode_node_page,
     encode_metadata_page,
 )
@@ -37,40 +47,17 @@ from repro.rtree.str_bulk import str_groups
 
 
 @dataclass(frozen=True)
-class RecordBatch:
-    """A struct-of-arrays view of many metadata records at once.
+class RecordBatch(MetadataLeaf):
+    """Many metadata records at once, in the columnar leaf form.
 
-    Produced by :meth:`SeedIndex.fetch_records_batch`; the crawl engine
-    consumes whole BFS frontiers in this form so intersection tests run
-    as single vectorized calls instead of per-record Python loops.
-    Neighbor pointers are stored in CSR form: the neighbors of row ``i``
-    are ``neighbor_ids[neighbor_offsets[i]:neighbor_offsets[i + 1]]``.
+    Produced by :meth:`SeedIndex.fetch_records_batch`: a
+    :class:`~repro.storage.serial.MetadataLeaf` whose rows are the
+    requested records, in request order.  The crawl engine consumes
+    whole BFS frontiers in this form so intersection tests run as
+    single vectorized calls instead of per-record Python loops.
     """
 
     record_ids: np.ndarray        #: (N,) record ids, in request order.
-    page_mbrs: np.ndarray         #: (N, 6) page MBRs.
-    partition_mbrs: np.ndarray    #: (N, 6) partition MBRs.
-    object_page_ids: np.ndarray   #: (N,) object page ids.
-    neighbor_offsets: np.ndarray  #: (N + 1,) CSR row offsets.
-    neighbor_ids: np.ndarray      #: (M,) concatenated neighbor record ids.
-
-    def __len__(self) -> int:
-        return len(self.record_ids)
-
-    def neighbors_of(self, mask: np.ndarray) -> np.ndarray:
-        """Concatenated neighbor ids of the rows selected by *mask*."""
-        selected = np.flatnonzero(mask)
-        if selected.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.neighbor_offsets[selected]
-        lengths = self.neighbor_offsets[selected + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Vectorized CSR row gather: offset each row's arange to its start.
-        row_ends = np.cumsum(lengths)
-        shift = np.repeat(starts - (row_ends - lengths), lengths)
-        return self.neighbor_ids[np.arange(total) + shift]
 
 
 class SeedIndex:
@@ -216,80 +203,36 @@ class SeedIndex:
         if not 0 <= record_id < self.record_count:
             raise ValueError(f"record id {record_id} out of range")
         leaf_page_id = int(self.record_page[record_id])
-        raw = self.store.read_metadata(leaf_page_id, cached=False)
-        page_mbr, partition_mbr, object_page_id, neighbor_ids = raw[
-            int(self.record_slot[record_id])
-        ]
-        return MetadataRecord(
-            record_id=record_id,
-            page_mbr=page_mbr,
-            partition_mbr=partition_mbr,
-            object_page_id=int(object_page_id),
-            neighbor_ids=tuple(neighbor_ids),
-        )
+        leaf = self.store.read_metadata(leaf_page_id, cached=False)
+        return _record(leaf, int(self.record_slot[record_id]), record_id)
 
     def fetch_records_batch(self, record_ids) -> RecordBatch:
         """Read many metadata records as one struct-of-arrays batch.
 
-        Ids are grouped by metadata leaf page so every touched leaf is
-        read once and — via the store's decoded-page cache — decoded at
-        most once per query, no matter how many of its records the
-        crawl's frontiers request.
+        Every touched leaf is read once — in ascending page-id order —
+        and, via the store's decoded-page cache, decoded at most once
+        per query, no matter how many of its records the crawl's
+        frontiers request.  The batch is then one row gather over the
+        concatenated leaves.
         """
         ids = np.atleast_1d(np.asarray(record_ids, dtype=np.int64))
-        n = len(ids)
-        if n and not (0 <= ids.min() and ids.max() < self.record_count):
+        if ids.size and not (0 <= ids.min() and ids.max() < self.record_count):
             raise ValueError("record id out of range in batch")
-        page_mbrs = np.empty((n, 6), dtype=np.float64)
-        partition_mbrs = np.empty((n, 6), dtype=np.float64)
-        object_page_ids = np.empty(n, dtype=np.int64)
-        neighbor_lists = [()] * n
-
-        leaf_ids = self.record_page[ids]
-        order = np.argsort(leaf_ids, kind="stable")
-        boundaries = np.flatnonzero(np.diff(leaf_ids[order])) + 1
-        for group in np.split(order, boundaries) if n else []:
-            raw = self.store.read_metadata(int(leaf_ids[group[0]]))
-            for pos in group:
-                slot = int(self.record_slot[ids[pos]])
-                page_mbr, partition_mbr, object_page_id, nbrs = raw[slot]
-                page_mbrs[pos] = page_mbr
-                partition_mbrs[pos] = partition_mbr
-                object_page_ids[pos] = object_page_id
-                neighbor_lists[pos] = nbrs
-
-        counts = np.fromiter(
-            (len(nbrs) for nbrs in neighbor_lists), dtype=np.int64, count=n
-        )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        neighbor_ids = np.fromiter(
-            (nid for nbrs in neighbor_lists for nid in nbrs),
-            dtype=np.int64,
-            count=int(offsets[-1]),
-        )
+        leaf_ids, inverse = np.unique(self.record_page[ids], return_inverse=True)
+        leaves = [self.store.read_metadata(leaf) for leaf in leaf_ids.tolist()]
+        sizes = np.array([len(leaf) for leaf in leaves], dtype=np.int64)
+        rows = (np.cumsum(sizes) - sizes)[inverse] + self.record_slot[ids]
         return RecordBatch(
-            record_ids=ids,
-            page_mbrs=page_mbrs,
-            partition_mbrs=partition_mbrs,
-            object_page_ids=object_page_ids,
-            neighbor_offsets=offsets,
-            neighbor_ids=neighbor_ids,
+            record_ids=ids, **MetadataLeaf.concatenate(leaves).take(rows)
         )
 
     def iter_records(self):
         """Yield every record without I/O accounting (analysis/tests)."""
         for leaf_page_id in self.leaf_page_ids:
-            raw = decode_metadata_page(self.store.read_silent(leaf_page_id))
+            leaf = self.store.decode_silent(DECODE_METADATA, leaf_page_id)
             ids = self.leaf_record_ids[leaf_page_id]
-            for slot, (page_mbr, partition_mbr, object_page_id, nbrs) in enumerate(raw):
-                yield MetadataRecord(
-                    record_id=int(ids[slot]),
-                    page_mbr=page_mbr,
-                    partition_mbr=partition_mbr,
-                    object_page_id=int(object_page_id),
-                    neighbor_ids=tuple(nbrs),
-                )
+            for slot in range(len(leaf)):
+                yield _record(leaf, slot, int(ids[slot]))
 
     # -- seeding -------------------------------------------------------------
 
@@ -298,9 +241,10 @@ class SeedIndex:
 
         Depth-first descent reading only intersecting paths; at each
         metadata leaf, candidate records (page MBR intersecting the
-        query) have their object page probed until one contains a truly
-        intersecting element (Sec. V-B.1).  Returns ``(record,
-        matching_element_slots)`` or ``None`` when the query is empty.
+        query) have their object page probed, in slot order, until one
+        contains a truly intersecting element (Sec. V-B.1).  Returns
+        ``(record, matching_element_slots)`` or ``None`` when the query
+        is empty.
 
         Decoded leaves and probed object pages go through the store's
         decoded-page cache, so the crawl that follows never re-decodes a
@@ -313,25 +257,18 @@ class SeedIndex:
         while stack:
             page_id, level = stack.pop()
             if level == 0:
-                raw = self.store.read_metadata(page_id)
-                ids = self.leaf_record_ids[page_id]
-                for slot, (page_mbr, partition_mbr, object_page_id, nbrs) in enumerate(
-                    raw
-                ):
-                    if not boxes_intersect_box(page_mbr[None, :], query)[0]:
-                        continue
-                    probed.append(int(object_page_id))
-                    elements = self.store.read_elements(int(object_page_id))
+                leaf = self.store.read_metadata(page_id)
+                candidates = np.flatnonzero(
+                    boxes_intersect_box(leaf.page_mbrs, query)
+                )
+                for slot in candidates.tolist():
+                    object_page_id = int(leaf.object_page_ids[slot])
+                    probed.append(object_page_id)
+                    elements = self.store.read_elements(object_page_id)
                     mask = boxes_intersect_box(elements, query)
                     if mask.any():
-                        record = MetadataRecord(
-                            record_id=int(ids[slot]),
-                            page_mbr=page_mbr,
-                            partition_mbr=partition_mbr,
-                            object_page_id=int(object_page_id),
-                            neighbor_ids=tuple(nbrs),
-                        )
-                        return record, np.flatnonzero(mask)
+                        record_id = int(self.leaf_record_ids[page_id][slot])
+                        return _record(leaf, slot, record_id), np.flatnonzero(mask)
                 continue
             child_ids, child_mbrs, _leaf = decode_node_page(self.store.read(page_id))
             mask = boxes_intersect_box(child_mbrs, query)
@@ -354,3 +291,14 @@ class SeedIndex:
             for cid in child_ids:
                 stack.append((int(cid), level - 1))
         return count
+
+
+def _record(leaf: MetadataLeaf, slot: int, record_id: int) -> MetadataRecord:
+    """One row of a decoded leaf as a standalone :class:`MetadataRecord`."""
+    return MetadataRecord(
+        record_id=record_id,
+        page_mbr=leaf.page_mbrs[slot].copy(),
+        partition_mbr=leaf.partition_mbrs[slot].copy(),
+        object_page_id=int(leaf.object_page_ids[slot]),
+        neighbor_ids=tuple(leaf.neighbors(slot).tolist()),
+    )

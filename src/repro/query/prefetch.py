@@ -134,23 +134,24 @@ class StagingPageStore(PageStore):
     predicted boxes overlap heavily along a trajectory, so most staging
     reads are absorbed by this store's own caches and the prefetcher's
     *physical* read count stays far below the pages it stages.  Decoded
-    metadata/element pages are staged alongside, so a consuming worker
-    skips the decode too (the prefetcher already paid it).
+    metadata leaves and element arrays are staged alongside, so a
+    consuming worker skips the decode too (the prefetcher already paid
+    it).
     """
 
     def __init__(self, backend, area: PrefetchArea):
         super().__init__(backend=backend)
         self.area = area
 
-    def read(self, page_id: int) -> bytes:
-        payload = super().read(page_id)
+    def fetch(self, page_id: int) -> bytes:
+        blob = super().fetch(page_id)
         self.area.stage(page_id)
-        return payload
+        return blob
 
-    def read_metadata(self, page_id: int, cached: bool = True) -> list:
-        records = super().read_metadata(page_id, cached)
-        self.area.stage_decoded(page_id, DECODE_METADATA, records)
-        return records
+    def read_metadata(self, page_id: int, cached: bool = True):
+        leaf = super().read_metadata(page_id, cached)
+        self.area.stage_decoded(page_id, DECODE_METADATA, leaf)
+        return leaf
 
     def read_elements(self, page_id: int, cached: bool = True):
         elements = super().read_elements(page_id, cached)
@@ -301,41 +302,6 @@ class TrajectoryModel:
         return out
 
 
-class _CrawlMemo:
-    """Decoded-record caches of one staging engine (one generation).
-
-    The staging crawl replays the demand BFS's *page* accesses, but the
-    index generation it serves is immutable — so every metadata record
-    (page MBR, partition MBR, object page id, neighbor ids) is decoded
-    into flat arrays exactly once per leaf, and later crawls run the
-    BFS as pure numpy gathers over these arrays plus the (cheap, cached)
-    staging reads of the touched pages.
-    """
-
-    def __init__(self, record_count: int):
-        self.page_mbrs = np.empty((record_count, 6), dtype=np.float64)
-        self.partition_mbrs = np.empty((record_count, 6), dtype=np.float64)
-        self.object_page_ids = np.empty(record_count, dtype=np.int64)
-        self.neighbors: list = [None] * record_count
-        self.loaded = np.zeros(record_count, dtype=bool)
-        #: Decoded internal node pages: page id -> (child ids, child MBRs).
-        self.nodes: dict = {}
-        #: Per-crawl visited scratch, reused across crawls.
-        self.visited = np.zeros(record_count, dtype=bool)
-
-    def load_leaf(self, store, seed, leaf_id: int) -> None:
-        """Decode one metadata leaf into the flat record arrays."""
-        raw = store.read_metadata(leaf_id)
-        ids = seed.leaf_record_ids[leaf_id]
-        for slot, (page_mbr, partition_mbr, object_page_id, nbrs) in enumerate(raw):
-            rid = int(ids[slot])
-            self.page_mbrs[rid] = page_mbr
-            self.partition_mbrs[rid] = partition_mbr
-            self.object_page_ids[rid] = object_page_id
-            self.neighbors[rid] = np.asarray(nbrs, dtype=np.int64)
-        self.loaded[ids] = True
-
-
 class Prefetcher:
     """Warms a generation's buffer pools ahead of a session's next box.
 
@@ -373,10 +339,13 @@ class Prefetcher:
             self.areas = [PrefetchArea(self.config.area_capacity)]
             self._stores = [StagingPageStore(index.store.backend, self.areas[0])]
             self._engines = [index.with_store(self._stores[0])]
-        #: Per-engine :class:`_CrawlMemo`, created lazily on the first
-        #: staging crawl — valid for the prefetcher's whole life because
-        #: one prefetcher serves exactly one immutable index generation.
-        self._crawl_memos: list = [None] * len(self._engines)
+        #: Per-engine decoded internal node pages (page id -> (child
+        #: ids, child MBRs)) and visited scratch — valid for the
+        #: prefetcher's whole life because one prefetcher serves exactly
+        #: one immutable index generation.  Metadata leaves need no copy:
+        #: the staging stores' decoded caches are never cleared.
+        self._nodes: list = [{} for _ in self._engines]
+        self._visited: list = [None] * len(self._engines)
 
     def attach(self, clone) -> None:
         """Point a worker clone's store(s) at the staging area(s)."""
@@ -413,7 +382,7 @@ class Prefetcher:
 
         Staging needs the *page set* of a crawl, not its result ids, so
         this replays the seed-and-crawl protocol at page granularity
-        over memoized record arrays (:class:`_CrawlMemo`):
+        over the staging store's cached leaves:
 
         1. descend the seed tree, staging every internal page and every
            metadata leaf whose key intersects the window;
@@ -436,9 +405,7 @@ class Prefetcher:
         if seed is None:
             engine.range_query(query)
             return
-        memo = self._crawl_memos[engine_id]
-        if memo is None:
-            memo = self._crawl_memos[engine_id] = _CrawlMemo(seed.record_count)
+        nodes = self._nodes[engine_id]
         store = engine.store
 
         stack = [(seed.root_id, seed.height)]
@@ -449,43 +416,38 @@ class Prefetcher:
                 start_leaves.append(page_id)
                 continue
             payload = store.read(page_id)
-            node = memo.nodes.get(page_id)
+            node = nodes.get(page_id)
             if node is None:
                 child_ids, child_mbrs, _leaf = decode_node_page(payload)
-                node = (child_ids, child_mbrs)
-                memo.nodes[page_id] = node
+                node = nodes[page_id] = (child_ids, child_mbrs)
             child_ids, child_mbrs = node
             for cid in child_ids[boxes_intersect_box(child_mbrs, query)]:
                 stack.append((int(cid), level - 1))
         if not start_leaves:
             return
 
-        visited = memo.visited
+        visited = self._visited[engine_id]
+        if visited is None:
+            visited = np.zeros(seed.record_count, dtype=bool)
+            self._visited[engine_id] = visited
         visited.fill(False)
-        # The first BFS round below loads and stages the start leaves
+        # The first BFS round below reads and stages the start leaves
         # themselves (they are exactly the first frontier's leaves).
         frontier = np.concatenate(
             [seed.leaf_record_ids[leaf] for leaf in start_leaves]
         )
         visited[frontier] = True
         while frontier.size:
-            unloaded = frontier[~memo.loaded[frontier]]
-            if unloaded.size:
-                for leaf in np.unique(seed.record_page[unloaded]):
-                    memo.load_leaf(store, seed, int(leaf))
-            # Stage every leaf this frontier sits on — the demand BFS
-            # reads them all via fetch_records_batch.
-            for leaf in np.unique(seed.record_page[frontier]):
-                store.read_metadata(int(leaf))
-            page_hits = boxes_intersect_box(memo.page_mbrs[frontier], query)
-            store.read_elements_many(memo.object_page_ids[frontier[page_hits]])
-            expand = frontier[
-                boxes_intersect_box(memo.partition_mbrs[frontier], query)
-            ]
-            if expand.size:
-                candidates = np.unique(
-                    np.concatenate([memo.neighbors[int(r)] for r in expand])
-                )
+            # Reads (and stages) every leaf this frontier sits on, as
+            # the demand BFS does.
+            batch = seed.fetch_records_batch(frontier)
+            page_hits = boxes_intersect_box(batch.page_mbrs, query)
+            store.read_elements_many(batch.object_page_ids[page_hits])
+            candidates = batch.neighbors_of(
+                boxes_intersect_box(batch.partition_mbrs, query)
+            )
+            if candidates.size:
+                candidates = np.unique(candidates)
                 frontier = candidates[~visited[candidates]]
                 visited[frontier] = True
             else:

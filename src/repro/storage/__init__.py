@@ -14,17 +14,20 @@ substitute for the authors' SAS disk array:
   a single on-disk file, reopened read-only through ``mmap``
   (build-once/reopen-many; the substrate of index snapshots and the
   serving layer).
-* :class:`~repro.storage.buffer.BufferPool` — an LRU page buffer that
-  models the OS page cache.  The paper clears caches before every query;
-  the query executor does the same via :meth:`PageStore.clear_cache`.
+* :class:`~repro.storage.buffer.BufferPool` — an LRU buffer of stored
+  page blobs that models the OS page cache.  The paper clears caches
+  before every query; the query executor does the same via
+  :meth:`PageStore.clear_cache`.
 * :class:`~repro.storage.decoded_cache.DecodedPageCache` — the CPU-side
-  analogue of the buffer pool: memoizes decoded page contents per page
-  id so batched crawls parse each touched page at most once per query.
+  analogue of the buffer pool: memoizes each page's decoded form (a
+  columnar :class:`~repro.storage.serial.MetadataLeaf`, an element
+  array) so crawls decode each touched page at most once per query.
 * :class:`~repro.storage.diskmodel.DiskModel` — converts page-read
   counts into simulated I/O time for a 10 kRPM SAS disk, reproducing the
   paper's observation that query time is I/O-bound (97.8–98.8 %).
 * :mod:`~repro.storage.serial` — byte-exact page encodings (every page
-  is exactly ``PAGE_SIZE`` bytes).
+  is exactly ``PAGE_SIZE`` bytes); :mod:`~repro.storage.codec` — the
+  physical page codecs between those pages and the stored blobs.
 """
 
 from repro.storage.constants import (

@@ -36,6 +36,16 @@ Every encoder *verifies its own round trip* before choosing a
 structured mode — ``decode(encode(page)) == page`` holds bit-for-bit
 for arbitrary payloads, by construction, not by convention.  Decoding
 dispatches on a mode byte in the blob, never on trust in the category.
+
+Queries rarely need logical pages.  :meth:`PageCodec.decode_metadata`
+and :meth:`PageCodec.decode_elements` return the forms the decoded-page
+cache serves — a columnar :class:`~repro.storage.serial.MetadataLeaf`
+and an ``(N, 6)`` float64 array — and ``delta64``'s structured modes
+build them straight from their inflated columns, with no 4 KiB page in
+between.  The logical page of such a blob is *derived* from that form,
+so the encoder's round-trip check verifies the decoder queries use.
+Logical bytes are only built for :meth:`PageCodec.decode` callers: node
+pages, replica ship comparison and the round-trip check itself.
 """
 
 from __future__ import annotations
@@ -46,14 +56,19 @@ import zlib
 import numpy as np
 
 from repro.storage.constants import (
+    OBJECT_PAGE_CAPACITY,
     PAGE_HEADER_BYTES,
     PAGE_SIZE,
 )
 from repro.storage.serial import (
-    _FLAG_LEAF,
-    _HEADER,
+    MetadataLeaf,
     decode_element_page,
+    decode_metadata_leaf,
     decode_node_page,
+    encode_element_page,
+    encode_metadata_leaf,
+    encode_node_page,
+    metadata_record_bytes,
 )
 from repro.storage.stats import (
     CATEGORY_METADATA,
@@ -230,6 +245,13 @@ class PageCodec:
     disk); ``decode`` must return the exact logical
     :data:`~repro.storage.constants.PAGE_SIZE` bytes.  Both take the
     page's category, though decoders are expected to be self-describing.
+
+    Crawls never need the logical bytes of metadata and element pages:
+    ``decode_metadata`` and ``decode_elements`` return the decoded forms
+    the decoded-page cache serves (a
+    :class:`~repro.storage.serial.MetadataLeaf`, an ``(N, 6)`` float64
+    array).  The defaults parse ``decode``'s page; codecs override them
+    to build those forms straight from the blob.
     """
 
     name: str = "?"
@@ -239,6 +261,14 @@ class PageCodec:
 
     def decode(self, blob: bytes, category: str) -> bytes:
         raise NotImplementedError
+
+    def decode_metadata(self, blob: bytes) -> MetadataLeaf:
+        """The columnar leaf of a metadata page's blob."""
+        return decode_metadata_leaf(self.decode(blob, CATEGORY_METADATA))
+
+    def decode_elements(self, blob: bytes) -> np.ndarray:
+        """The ``(N, 6)`` element MBRs of an element page's blob."""
+        return decode_element_page(self.decode(blob, CATEGORY_OBJECT))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -254,6 +284,12 @@ class RawCodec(PageCodec):
 
     def decode(self, blob: bytes, category: str) -> bytes:
         return blob
+
+    def decode_metadata(self, blob: bytes) -> MetadataLeaf:
+        return decode_metadata_leaf(blob)
+
+    def decode_elements(self, blob: bytes) -> np.ndarray:
+        return decode_element_page(blob)
 
 
 class Delta64Codec(PageCodec):
@@ -301,28 +337,43 @@ class Delta64Codec(PageCodec):
         return blob
 
     def decode(self, blob: bytes, category: str) -> bytes:
+        return self._dispatch(blob, self._TO_PAGE, None)
+
+    def decode_metadata(self, blob: bytes) -> MetadataLeaf:
+        return self._dispatch(blob, self._TO_LEAF, decode_metadata_leaf)
+
+    def decode_elements(self, blob: bytes) -> np.ndarray:
+        return self._dispatch(blob, self._TO_ELEMENTS, decode_element_page)
+
+    def _dispatch(self, blob: bytes, direct: dict, parse):
+        """Decode *blob* by its mode byte.
+
+        Modes in *direct* build the requested form straight from the
+        blob; any other mode rebuilds the logical page, which *parse*
+        turns into that form.  Every failure surfaces as a
+        :class:`CodecError`.
+        """
         if not blob:
             raise CodecError("empty delta64 blob")
         mode = blob[0]
         try:
-            if mode == _MODE_STORED:
-                page = blob[1:]
-                if len(page) != PAGE_SIZE:
-                    raise CodecError("stored blob is not one page")
-                return page
-            if mode == _MODE_OPAQUE:
-                return self._decode_opaque(blob)
-            if mode == _MODE_ELEMENT:
-                return self._decode_element(blob)
-            if mode == _MODE_NODE:
-                return self._decode_node(blob)
-            if mode == _MODE_METADATA:
-                return self._decode_metadata(blob)
+            inflate = direct.get(mode)
+            if inflate is not None:
+                return inflate(self, blob)
+            to_page = self._TO_PAGE.get(mode)
+            if to_page is None:
+                raise CodecError(f"unknown delta64 blob mode {mode}")
+            return parse(to_page(self, blob))
         except CodecError:
             raise
         except Exception as exc:
             raise CodecError(f"corrupt delta64 blob: {exc}") from exc
-        raise CodecError(f"unknown delta64 blob mode {mode}")
+
+    def _decode_stored(self, blob: bytes) -> bytes:
+        page = blob[1:]
+        if len(page) != PAGE_SIZE:
+            raise CodecError("stored blob is not one page")
+        return page
 
     # -- opaque fallback ----------------------------------------------
 
@@ -359,17 +410,20 @@ class Delta64Codec(PageCodec):
             + zlib.compress(_shuffle(deltas), _ZLIB_LEVEL)
         )
 
-    def _decode_element(self, blob: bytes) -> bytes:
+    def _inflate_elements(self, blob: bytes) -> np.ndarray:
         head = self._ELEMENT_HEAD
         _mode, count, k = head.unpack_from(blob)
+        if count > OBJECT_PAGE_CAPACITY:
+            raise CodecError(f"element count {count} overflows the page")
         mins = np.frombuffer(blob, dtype="<i8", count=6, offset=head.size)
         deltas = _unshuffle(
             zlib.decompress(blob[head.size + 48:]), "<u8", count * 6
         )
         ints = mins[None, :] + deltas.view(np.int64).reshape(count, 6)
-        body = _grid_floats(ints, k).astype("<f8").tobytes()
-        page = _HEADER.pack(count, _FLAG_LEAF) + body
-        return page + b"\x00" * (PAGE_SIZE - len(page))
+        return _grid_floats(ints, k)
+
+    def _decode_element(self, blob: bytes) -> bytes:
+        return encode_element_page(self._inflate_elements(blob))
 
     # -- node pages ----------------------------------------------------
 
@@ -399,33 +453,14 @@ class Delta64Codec(PageCodec):
         child_ids = _unshuffle(stream[: count * 8], "<u8", count)
         deltas = _unshuffle(stream[count * 8:], "<u8", count * 6)
         ints = mins[None, :] + deltas.view(np.int64).reshape(count, 6)
-        mbrs = _grid_floats(ints, k)
-        body = bytearray(_HEADER.pack(count, _FLAG_LEAF if leaf else 0))
-        entries = np.empty(
-            count, dtype=np.dtype([("id", "<u8"), ("mbr", "<f8", (6,))])
-        )
-        entries["id"] = child_ids
-        entries["mbr"] = mbrs
-        body += entries.tobytes()
-        return bytes(body) + b"\x00" * (PAGE_SIZE - len(body))
+        return encode_node_page(child_ids, _grid_floats(ints, k), leaf)
 
     # -- metadata pages ------------------------------------------------
 
     def _encode_metadata(self, payload: bytes):
-        from repro.storage.serial import decode_metadata_page
-
-        records = decode_metadata_page(payload)
-        count = len(records)
-        coords = np.empty((count, 12), dtype=np.float64)
-        object_page_ids = np.empty(count, dtype="<u8")
-        neighbor_counts = np.empty(count, dtype="<u4")
-        neighbor_chunks = []
-        for i, (page_mbr, partition_mbr, opid, neighbors) in enumerate(records):
-            coords[i, :6] = page_mbr
-            coords[i, 6:] = partition_mbr
-            object_page_ids[i] = opid
-            neighbor_counts[i] = len(neighbors)
-            neighbor_chunks.append(np.asarray(neighbors, dtype=np.int64))
+        leaf = decode_metadata_leaf(payload)
+        count = len(leaf)
+        coords = np.hstack((leaf.page_mbrs, leaf.partition_mbrs))
         k = _grid_exponent(coords)
         if k is None or k > 32767:
             return None
@@ -433,18 +468,12 @@ class Delta64Codec(PageCodec):
         mins = ints.min(axis=0) if count else np.zeros(6, dtype=np.int64)
         deltas = (ints - mins).view(np.uint64)
 
-        neighbors = (
-            np.concatenate(neighbor_chunks)
-            if neighbor_chunks
-            else np.empty(0, dtype=np.int64)
-        )
         # Per-list delta chain: each list restarts from zero, values
         # within a list difference against their predecessor.
+        neighbors = leaf.neighbor_ids
         diffs = neighbors.copy()
         diffs[1:] -= neighbors[:-1]
-        starts = np.concatenate(
-            ([0], np.cumsum(neighbor_counts.astype(np.int64))[:-1])
-        )
+        starts = leaf.neighbor_offsets[:-1]
         resets = starts[starts < neighbors.size]
         diffs[resets] = neighbors[resets]
         varints = encode_varints(_zigzag(diffs))
@@ -452,8 +481,8 @@ class Delta64Codec(PageCodec):
         head = self._METADATA_HEAD.pack(_MODE_METADATA, count, k)
         stream = (
             _shuffle(deltas)
-            + object_page_ids.tobytes()
-            + neighbor_counts.tobytes()
+            + leaf.object_page_ids.astype("<i8").tobytes()
+            + np.diff(leaf.neighbor_offsets).astype("<u4").tobytes()
             + varints
         )
         return (
@@ -462,7 +491,7 @@ class Delta64Codec(PageCodec):
             + zlib.compress(stream, _ZLIB_LEVEL)
         )
 
-    def _decode_metadata(self, blob: bytes) -> bytes:
+    def _inflate_metadata(self, blob: bytes) -> MetadataLeaf:
         head = self._METADATA_HEAD
         _mode, count, k = head.unpack_from(blob)
         mins = np.frombuffer(blob, dtype="<i8", count=6, offset=head.size)
@@ -472,56 +501,41 @@ class Delta64Codec(PageCodec):
         cut_counts = cut_opids + count * 4
         deltas = _unshuffle(stream[:cut_coords], "<u8", count * 12)
         object_page_ids = np.frombuffer(
-            stream, dtype="<u8", count=count, offset=cut_coords
+            stream, dtype="<i8", count=count, offset=cut_coords
         )
         neighbor_counts = np.frombuffer(
             stream, dtype="<u4", count=count, offset=cut_opids
         ).astype(np.int64)
-        total = int(neighbor_counts.sum())
+        offsets = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(neighbor_counts, out=offsets[1:])
+        total = int(offsets[-1])
+        used = PAGE_HEADER_BYTES + count * metadata_record_bytes(0) + 4 * total
+        if used > PAGE_SIZE:
+            raise CodecError("metadata records overflow the page")
         diffs = _unzigzag(decode_varints(stream[cut_counts:], total))
         chained = np.cumsum(diffs)
-        starts = np.concatenate(([0], np.cumsum(neighbor_counts)[:-1]))
+        starts = offsets[:-1]
         bases = np.zeros(count, dtype=np.int64)
         nonempty = starts > 0
         bases[nonempty] = chained[starts[nonempty] - 1]
         neighbors = chained - np.repeat(bases, neighbor_counts)
+        if total and (neighbors.min() < 0 or neighbors.max() >= 1 << 32):
+            raise CodecError("metadata neighbor id outside u32")
 
         ints = mins[None, :] + deltas.view(np.int64).reshape(-1, 6)
         coords = _grid_floats(ints, k).reshape(count, 12)
-
-        # Scatter-assemble the variable-size records into the page.
-        record_sizes = 108 + 4 * neighbor_counts
-        offsets = PAGE_HEADER_BYTES + np.concatenate(
-            ([0], np.cumsum(record_sizes)[:-1])
-        ).astype(np.int64)
-        if count and int(offsets[-1] + record_sizes[-1]) > PAGE_SIZE:
-            raise CodecError("metadata records overflow the page")
-        page = np.zeros(PAGE_SIZE, dtype=np.uint8)
-        page[:PAGE_HEADER_BYTES] = np.frombuffer(
-            _HEADER.pack(count, _FLAG_LEAF), dtype=np.uint8
+        return MetadataLeaf(
+            page_mbrs=coords[:, :6],
+            partition_mbrs=coords[:, 6:],
+            object_page_ids=object_page_ids.astype(np.int64),
+            neighbor_offsets=offsets,
+            neighbor_ids=neighbors,
         )
-        if count:
-            span = np.arange(96)
-            page[(offsets[:, None] + span).ravel()] = (
-                coords.astype("<f8").view(np.uint8).ravel()
-            )
-            span = np.arange(8)
-            page[(offsets[:, None] + 96 + span).ravel()] = (
-                object_page_ids.astype("<u8").view(np.uint8).ravel()
-            )
-            span = np.arange(4)
-            page[(offsets[:, None] + 104 + span).ravel()] = (
-                neighbor_counts.astype("<u4").view(np.uint8).ravel()
-            )
-        if total:
-            local = np.arange(total, dtype=np.int64) - np.repeat(
-                starts, neighbor_counts
-            )
-            nb_off = np.repeat(offsets + 108, neighbor_counts) + 4 * local
-            page[(nb_off[:, None] + np.arange(4)).ravel()] = (
-                neighbors.astype("<u4").view(np.uint8).ravel()
-            )
-        return page.tobytes()
+
+    def _decode_metadata(self, blob: bytes) -> bytes:
+        # The logical page is derived from the columnar leaf, so the
+        # encoder's round-trip check verifies the decoder queries use.
+        return encode_metadata_leaf(self._inflate_metadata(blob))
 
     _STRUCTURED = {
         CATEGORY_OBJECT: _encode_element,
@@ -530,6 +544,16 @@ class Delta64Codec(PageCodec):
         CATEGORY_RTREE_INTERNAL: _encode_node,
         CATEGORY_METADATA: _encode_metadata,
     }
+
+    _TO_PAGE = {
+        _MODE_STORED: _decode_stored,
+        _MODE_OPAQUE: _decode_opaque,
+        _MODE_ELEMENT: _decode_element,
+        _MODE_NODE: _decode_node,
+        _MODE_METADATA: _decode_metadata,
+    }
+    _TO_LEAF = {_MODE_METADATA: _inflate_metadata}
+    _TO_ELEMENTS = {_MODE_ELEMENT: _inflate_elements}
 
 
 # -- registry -------------------------------------------------------------

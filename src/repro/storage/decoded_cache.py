@@ -1,18 +1,27 @@
 """Memoized page decoding: the CPU-side counterpart of the buffer pool.
 
-The buffer pool absorbs repeated *physical* reads, but every consumer
-still paid :func:`~repro.storage.serial.decode_metadata_page` /
-:func:`~repro.storage.serial.decode_element_page` on each access — so a
-crawl re-parsing the same metadata leaf for every record on it spent
-CPU proportional to frontier-size x page-size instead of to the pages
-actually touched.  :class:`DecodedPageCache` memoizes the decoded form
-per page id, turning repeated decodes into dictionary hits.
+The buffer pool holds each page's stored *blob* and absorbs repeated
+physical reads; turning a blob into something a crawl can use is
+codec work on top of that.  :class:`DecodedPageCache` memoizes the
+decoded form per page id, so a crawl touching the same leaf for every
+record on it pays CPU proportional to the pages it touches, not to
+frontier-size x page-size.  The decoded forms, built by the codec
+straight from the blob (:meth:`PageCodec.decode_metadata
+<repro.storage.codec.PageCodec.decode_metadata>` and
+:meth:`~repro.storage.codec.PageCodec.decode_elements`), are:
 
-Decoded objects are shared between callers and must be treated as
-read-only.  The write path invalidates single entries through
-:meth:`DecodedPageCache.discard` when a page is rewritten in place;
-:meth:`clear` drops everything, mirroring the paper's between-query
-cache clearing.
+* ``DECODE_METADATA`` — a :class:`~repro.storage.serial.MetadataLeaf`:
+  the leaf's records as columns (page MBRs, partition MBRs, object
+  page ids, CSR neighbor lists), the one decoded form of a metadata
+  page every crawl, the seed descent and the prefetcher consume;
+* ``DECODE_ELEMENT`` — an ``(N, 6)`` float64 array of element MBRs.
+
+A hit never calls the codec.  Decoded objects are shared between
+callers (and staged by the prefetcher into other stores' caches), so
+they must be treated as read-only.  The write path invalidates single
+entries through :meth:`DecodedPageCache.discard` when a page is
+rewritten in place; :meth:`clear` drops everything, mirroring the
+paper's between-query cache clearing.
 """
 
 from __future__ import annotations

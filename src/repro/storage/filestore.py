@@ -386,18 +386,25 @@ class FilePageBackend:
         return OverlayPageBackend(self)
 
     def payload(self, page_id: int) -> bytes:
-        self._check_open()
-        offset, length = self._segments[self._table[page_id]]
-        if self._mmap is not None:
-            blob = self._mmap[offset:offset + length]
-        else:
-            if self._unflushed_writes:
-                self._file.flush()
-                self._unflushed_writes = False
-            blob = os.pread(self._file.fileno(), length, offset)
+        blob = self.blob(page_id)
         if self._raw_codec:
             return blob
         return self._codec.decode(blob, self._categories[page_id])
+
+    def blob(self, page_id: int) -> bytes:
+        """The stored bytes of a page, as written to ``pages.dat``."""
+        self._check_open()
+        offset, length = self._segments[self._table[page_id]]
+        if self._mmap is not None:
+            return self._mmap[offset:offset + length]
+        if self._unflushed_writes:
+            self._file.flush()
+            self._unflushed_writes = False
+        return os.pread(self._file.fileno(), length, offset)
+
+    def codec_of(self, page_id: int):
+        """The codec of :meth:`blob`, or ``None`` when blobs are raw."""
+        return None if self._raw_codec else self._codec
 
     def stored_bytes(self, page_id: int) -> int:
         """Physical bytes this page occupies on disk (its blob length)."""

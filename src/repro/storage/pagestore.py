@@ -23,14 +23,18 @@ buffer pool.
 from __future__ import annotations
 
 from repro.storage.buffer import BufferPool
+from repro.storage.codec import RawCodec, get_codec
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.decoded_cache import (
     DECODE_ELEMENT,
     DECODE_METADATA,
     DecodedPageCache,
 )
-from repro.storage.serial import decode_element_page, decode_metadata_page
+from repro.storage.serial import MetadataLeaf
 from repro.storage.stats import ALL_CATEGORIES, IOStats
+
+#: Decodes pages whose backend holds logical bytes (``codec_of`` None).
+_RAW_CODEC = RawCodec()
 
 
 class PageStoreError(Exception):
@@ -57,9 +61,13 @@ class MemoryPageBackend:
     :class:`repro.storage.filestore.FilePageBackend`.
 
     With ``codec`` set (a name from :mod:`repro.storage.codec`), pages
-    are held *compressed* in RAM and decoded per :meth:`payload` — the
-    in-memory mirror of a compressed file store, for fitting more pages
-    into the same footprint at a decode cost per read.
+    are held *compressed* in RAM as their stored blobs — the in-memory
+    mirror of a compressed file store, for fitting more pages into the
+    same footprint at a decode cost per buffer miss.
+
+    Every backend serves a page two ways: :meth:`blob` is the stored
+    bytes, decoded by :meth:`codec_of` (``None`` when the blob *is* the
+    logical page), and :meth:`payload` is the logical page itself.
     """
 
     #: Memory backends always accept :meth:`append`.
@@ -67,8 +75,6 @@ class MemoryPageBackend:
 
     def __init__(self, codec: str | None = None):
         if codec is not None:
-            from repro.storage.codec import get_codec
-
             codec = get_codec(codec)
             if codec.name == "raw":
                 codec = None
@@ -120,6 +126,14 @@ class MemoryPageBackend:
                 self._pages[page_id], self._categories[page_id]
             )
         return self._pages[page_id]
+
+    def blob(self, page_id: int) -> bytes:
+        """The stored bytes of a page (its codec's blob)."""
+        return self._pages[page_id]
+
+    def codec_of(self, page_id: int):
+        """The codec of :meth:`blob`, or ``None`` for logical bytes."""
+        return self._codec
 
     def stored_bytes(self, page_id: int) -> int:
         """Bytes this page actually occupies in RAM (its blob length)."""
@@ -197,13 +211,16 @@ class OverlayPageBackend:
             return override
         return self._base.payload(page_id)
 
-    def stored_bytes(self, page_id: int) -> int:
-        """Physical bytes of a page: overlay pages sit uncompressed in
-        RAM, unchanged pages report the base's stored size."""
+    def blob(self, page_id: int) -> bytes:
+        """Overlay pages are held as logical bytes; base pages as blobs."""
         if page_id >= self._base_len or page_id in self._overrides:
-            return PAGE_SIZE
-        stored = getattr(self._base, "stored_bytes", None)
-        return PAGE_SIZE if stored is None else stored(page_id)
+            return self.payload(page_id)
+        return self._base.blob(page_id)
+
+    def codec_of(self, page_id: int):
+        if page_id >= self._base_len or page_id in self._overrides:
+            return None
+        return self._base.codec_of(page_id)
 
     def category(self, page_id: int) -> str:
         if page_id >= self._base_len:
@@ -414,32 +431,33 @@ class PageStore:
 
     # -- reading -------------------------------------------------------
 
-    def read(self, page_id: int) -> bytes:
-        """Fetch a page, counting a physical read on buffer miss.
+    def fetch(self, page_id: int) -> bytes:
+        """Fetch a page's stored blob, counting a physical read on buffer miss.
 
-        A buffer miss consults the attached prefetch area (if any)
-        before charging physical I/O: consuming a staged page counts a
+        The one choke point every accounted read goes through: the
+        buffer pool holds stored blobs and is checked before the
+        backend, so a buffer hit costs neither I/O nor codec work.  A
+        buffer miss consults the attached prefetch area (if any) before
+        charging physical I/O: consuming a staged page counts a
         *prefetch hit* in its category instead of a read, and any
         decoded forms staged with the page seed this store's decoded
         cache — the work moved earlier, it never disappears, so
         ``reads + prefetch_hits`` always equals the reads of a
         prefetch-free run.
         """
-        payload = self._payload(page_id)
-        if self.buffer is not None:
-            cached = self.buffer.get(page_id)
-            if cached is not None:
+        self._check_bounds(page_id)
+        buffer = self.buffer
+        if buffer is not None:
+            blob = buffer.get(page_id)
+            if blob is not None:
                 self.stats.record_cache_hit()
-                return cached
-            if self.buffer.byte_capacity is None:
-                self.buffer.put(page_id, payload)
-            else:
-                # A byte-budgeted pool charges each page its *physical*
-                # footprint: compressed stores fit more pages into the
-                # same budget — the larger-than-RAM win.
-                stored = getattr(self.backend, "stored_bytes", None)
-                cost = len(payload) if stored is None else stored(page_id)
-                self.buffer.put(page_id, payload, cost)
+                return blob
+        blob = self.backend.blob(page_id)
+        if buffer is not None:
+            # A byte-budgeted pool charges each blob its length — its
+            # *physical* footprint, so compressed stores fit more pages
+            # into the same budget (the larger-than-RAM win).
+            buffer.put(page_id, blob)
         area = self.prefetch_area
         if area is not None:
             staged = area.take(page_id)
@@ -448,9 +466,17 @@ class PageStore:
                 if self.decoded is not None:
                     for kind, decoded in staged.items():
                         self.decoded.seed(kind, page_id, decoded)
-                return payload
+                return blob
         self.stats.record_read(self.backend.category(page_id))
-        return payload
+        return blob
+
+    def read(self, page_id: int) -> bytes:
+        """Fetch a page's logical bytes, with :meth:`fetch`'s accounting."""
+        blob = self.fetch(page_id)
+        codec = self.backend.codec_of(page_id)
+        if codec is None:
+            return blob
+        return codec.decode(blob, self.backend.category(page_id))
 
     def read_many(self, page_ids) -> list:
         """Fetch a batch of pages with the same accounting as :meth:`read`.
@@ -463,30 +489,20 @@ class PageStore:
 
     # -- decoded reads -------------------------------------------------
 
-    def read_metadata(self, page_id: int, cached: bool = True) -> list:
-        """Read + decode a metadata page, memoizing the decoded records.
+    def read_metadata(self, page_id: int, cached: bool = True) -> MetadataLeaf:
+        """Fetch + decode a metadata page into its columnar leaf.
 
-        ``cached=False`` decodes unconditionally (the scalar reference
-        path); either way the decode is counted in :attr:`stats` so
-        harnesses can report decode work next to page reads.
+        The leaf is decoded straight from the stored blob and memoized
+        in the decoded-page cache; ``cached=False`` decodes
+        unconditionally (the scalar reference path).  Either way the
+        decode is counted in :attr:`stats` so harnesses can report
+        decode work next to page reads.
         """
-        payload = self.read(page_id)
-        if not cached:
-            self.stats.record_decode(DECODE_METADATA, hit=False)
-            return decode_metadata_page(payload)
-        return self.decoded.get_or_decode(
-            DECODE_METADATA, page_id, payload, decode_metadata_page, self.stats
-        )
+        return self._read_decoded(DECODE_METADATA, page_id, cached)
 
     def read_elements(self, page_id: int, cached: bool = True):
-        """Read + decode an element page (object page or R-Tree leaf)."""
-        payload = self.read(page_id)
-        if not cached:
-            self.stats.record_decode(DECODE_ELEMENT, hit=False)
-            return decode_element_page(payload)
-        return self.decoded.get_or_decode(
-            DECODE_ELEMENT, page_id, payload, decode_element_page, self.stats
-        )
+        """Fetch + decode an element page (object page or R-Tree leaf)."""
+        return self._read_decoded(DECODE_ELEMENT, page_id, cached)
 
     def read_elements_many(self, page_ids) -> list:
         """Decoded element arrays for a batch of pages.
@@ -496,6 +512,32 @@ class PageStore:
         """
         return [self.read_elements(int(page_id)) for page_id in page_ids]
 
+    def _read_decoded(self, kind: str, page_id: int, cached: bool):
+        blob = self.fetch(page_id)
+        decode = self._decoder(kind, page_id)
+        if not cached:
+            self.stats.record_decode(kind, hit=False)
+            return decode(blob)
+        return self.decoded.get_or_decode(
+            kind, page_id, blob, decode, self.stats
+        )
+
+    def _decoder(self, kind: str, page_id: int):
+        """The codec function turning *page_id*'s blob into *kind*."""
+        codec = self.backend.codec_of(page_id) or _RAW_CODEC
+        if kind == DECODE_METADATA:
+            return codec.decode_metadata
+        return codec.decode_elements
+
+    def decode_silent(self, kind: str, page_id: int):
+        """The decoded form of a page, without accounting or caching.
+
+        For readers that keep their own decoded copies and charge reads
+        themselves (the multi-query crawl) and for analysis.
+        """
+        self._check_bounds(page_id)
+        return self._decoder(kind, page_id)(self.backend.blob(page_id))
+
     def read_silent(self, page_id: int) -> bytes:
         """Fetch a page without any accounting (index construction only).
 
@@ -503,17 +545,14 @@ class PageStore:
         build-time figures measure wall-clock, not page reads, so
         construction-time access is not charged as query I/O.
         """
-        return self._payload(page_id)
+        self._check_bounds(page_id)
+        return self.backend.payload(page_id)
 
     def _check_bounds(self, page_id: int) -> None:
         if not 0 <= page_id < len(self.backend):
             raise PageStoreError(
                 f"page id {page_id} out of range (store has {len(self.backend)} pages)"
             )
-
-    def _payload(self, page_id: int) -> bytes:
-        self._check_bounds(page_id)
-        return self.backend.payload(page_id)
 
     # -- cache control ---------------------------------------------------
 

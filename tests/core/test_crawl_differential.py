@@ -27,18 +27,18 @@ def random_mbrs(n, seed=0, span=100.0, extent=2.0):
 def traced_pages(store, fn, query):
     """Run ``fn(query)`` cold-cached, recording every page id read."""
     pages = []
-    original_read = store.read
+    original_fetch = store.fetch
 
-    def read(page_id):
+    def fetch(page_id):
         pages.append(page_id)
-        return original_read(page_id)
+        return original_fetch(page_id)
 
     store.clear_cache()
-    store.read = read
+    store.fetch = fetch
     try:
         result = fn(query)
     finally:
-        store.read = original_read
+        store.fetch = original_fetch
     return result, pages
 
 
